@@ -49,7 +49,33 @@ class Attractor:
 # ---------------------------------------------------------------------------
 
 def _suffix_array(w: Sequence[int]) -> list[int]:
-    return sorted(range(len(w)), key=lambda i: w[i:])
+    """Prefix doubling (Manber-Myers): O(m) memory, O(m log^2 m) time.
+
+    Round k sorts the suffixes by their first 2k letters, packed into one
+    int key rank[i] * (m + 1) + rank[i + k], with 0 marking the end of the
+    word.  Ranks must stay dense (1..m): a raw letter >= m would make two
+    packed keys collide.
+    """
+    m = len(w)
+    sa = list(range(m))
+    dense = {a: r for r, a in enumerate(sorted(set(w)), 1)}
+    rank = [dense[a] for a in w]
+    base = m + 1
+    k = 1
+    while True:
+        key = [r * base + s for r, s in zip(rank, rank[k:] + [0] * k)]
+        sa.sort(key=key.__getitem__)
+        r = 0
+        prev = -1
+        for i in sa:
+            ki = key[i]
+            if ki != prev:
+                r += 1
+                prev = ki
+            rank[i] = r
+        if r == m:  # every suffix has its own rank: the order is final
+            return sa
+        k *= 2
 
 
 def _lcp_array(w: Sequence[int], sa: list[int]) -> list[int]:

@@ -285,17 +285,27 @@ def _parry_beta(digits: Word, tol: float = 1e-12) -> float:
 
     The left side is strictly decreasing in x, > 1 near 1 (the digit sum is
     at least 2) and < 1 at 1 + sum(digits), so the root is bracketed.
+    Bisection stops at tol or when the bracket holds no float between its
+    ends, whichever comes first (near large roots the float spacing exceeds
+    tol).
     """
     def shortfall(x: float) -> float:
         return sum(d / x ** (i + 1) for i, d in enumerate(digits)) - 1.0
 
-    lo, hi = 1.0, 1.0 + sum(digits)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if shortfall(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+    try:
+        lo, hi = 1.0, 1.0 + sum(digits)
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
+            if mid == lo or mid == hi:
+                break
+            if shortfall(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+    except OverflowError:
+        raise DomainError(
+            "digits too large for a floating-point Parry number"
+        ) from None
     return (lo + hi) / 2
 
 

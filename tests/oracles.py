@@ -100,6 +100,12 @@ def ref_occurrences(w, factor):
     return [j for j in range(len(w) - len(f) + 1) if tuple(w[j:j + len(f)]) == f]
 
 
+def ref_suffix_array(w):
+    """Start positions of the suffixes of w in lexicographic order, by
+    sorting the suffixes themselves (quadratic time and memory)."""
+    return sorted(range(len(w)), key=lambda i: tuple(w[i:]))
+
+
 def ref_is_attractor(w, positions):
     """Definition check: every factor must have an occurrence crossing one
     of the 1-based positions."""

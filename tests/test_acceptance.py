@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve end-to-end criteria, one test per criterion.
+"""Acceptance suite: thirteen end-to-end criteria, one test per criterion.
 
 Each test prints a single "criterion NN PASS" line on success (visible with
 pytest -s; under plain pytest the test outcome itself is the per-criterion
@@ -226,3 +226,28 @@ def test_criterion_12_numeration_round_trip():
             assert rep(c, block_length(c, n + 1) - 1) == digit_ceiling(c, n + 1)
     report(12, "val(rep(n)) = n to 5000 on ten parameter words; "
                "block-boundary identities to n=20")
+
+
+def test_criterion_13_long_prefix_soundness_and_tightness():
+    t0 = time.perf_counter()
+    # the first window (n, P_n, Q_n) with Q_n >= 10^5
+    expected = {"11": (22, 57313, 121391), "111": (18, 74915, 144663),
+                "1111": (17, 81558, 158815)}
+    windows = []
+    for text, (n_first, p_first, q_first) in expected.items():
+        c = param_word(tuple(int(ch) for ch in text))
+        n = 0
+        while power_prefix_len(c, n) < 10**5:
+            n += 1
+        p, q = window_start(c, n), power_prefix_len(c, n)
+        assert (n, p, q) == (n_first, p_first, q_first), str(c)
+        gamma = candidate_attractor(c, n)
+        w = prefix(c, q + 1)
+        assert is_attractor(w[:p], gamma), (str(c), n, p)
+        assert is_attractor(w[:q], gamma), (str(c), n, q)
+        assert not is_attractor(w, gamma), (str(c), n, q + 1)
+        windows.append(f"c={c} n={n} [{p}, {q}]")
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0, f"took {elapsed:.1f} s"
+    report(13, "Gamma_n attracts both ends of its window and fails one "
+               f"letter past it: {'; '.join(windows)} ({elapsed:.1f} s)")

@@ -1,8 +1,10 @@
 """Tests for string attractors: the checker, exact minima, the candidate
 construction with its validity windows, and the profile machinery."""
 
+from itertools import combinations, product
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from parrywords import (
     Attractor,
@@ -29,8 +31,10 @@ from parrywords import (
     window_start,
     windows_cover_all,
 )
+from parrywords.attractors import _suffix_array
 
 import oracles
+from limits import time_limit
 
 C102 = param_word((1, 0, 2))
 C12 = param_word((1, 2))
@@ -81,13 +85,39 @@ def test_is_attractor_known_cases():
 
 def test_is_attractor_exhaustive_tiny():
     # every subset of every ternary word up to length 6
-    from itertools import product, combinations
-    for n in range(1, 6):
-        for w in product(range(2), repeat=n):
+    for n in range(1, 7):
+        for w in product(range(3), repeat=n):
             for size in range(1, n + 1):
                 for combo in combinations(range(1, n + 1), size):
                     assert is_attractor(w, combo) == \
                         oracles.ref_is_attractor(w, combo)
+
+
+def bounded_suffix_array(w):
+    with time_limit(2.0):
+        return _suffix_array(w)
+
+
+def test_suffix_array_small_words_over_six_letters():
+    # letters up to 5 exceed the length of most of these words: a packed
+    # key built from raw letters collides here (e.g. (1, 2) and (0, 3, 1))
+    for n in range(6):
+        for w in product(range(6), repeat=n):
+            assert bounded_suffix_array(w) == oracles.ref_suffix_array(w), w
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=64).flatmap(
+    lambda sigma: st.lists(st.integers(min_value=0, max_value=sigma - 1),
+                           max_size=300)).map(tuple))
+@example((1, 2))
+@example((0, 3, 1))
+@example((63, 0))
+@example((0,) * 300)
+@example((63,) * 257)
+@example(tuple(prefix(C11, 300)))
+def test_suffix_array_matches_reference(w):
+    assert bounded_suffix_array(w) == oracles.ref_suffix_array(w)
 
 
 @given(small_words, st.data())

@@ -8,6 +8,8 @@ import pytest
 
 from parrywords.cli import main
 
+from limits import time_limit
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -117,6 +119,16 @@ def test_check_text(capsys):
     assert code == 0
     assert "holds: false" in out
     assert "root:" not in out
+
+
+def test_check_large_leading_digit(capsys):
+    with time_limit(1.0):
+        code, out, _ = run(capsys, "check", "100000.1")
+    assert code == 0
+    assert abs(float(out.splitlines()[-1].split()[1]) - 100000.00001) < 1e-6
+    code, out, err = run(capsys, "check", "9" * 400 + ".1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_json_outputs_round_trip(capsys):

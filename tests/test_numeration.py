@@ -31,6 +31,7 @@ from parrywords import (
 )
 
 import oracles
+from limits import time_limit
 
 C102 = param_word((1, 0, 2))
 C12 = param_word((1, 2))
@@ -269,6 +270,16 @@ def test_reduce_identity_when_already_primitive():
 def test_reduce_rejects_non_greedy():
     with pytest.raises(ScopeError):
         reduce_parry(C102)
+
+
+def test_reduce_large_leading_digit():
+    # near 10^5 the float spacing exceeds the bisection tolerance
+    with time_limit(1.0):
+        r = reduce_parry(param_word((100000, 1)))
+    assert abs(r.beta - 100000.00001) < 1e-6
+    for too_large in (10**160, 10**400 - 1):  # beta ** 2, digit sum overflow
+        with pytest.raises(DomainError):
+            reduce_parry(param_word((too_large, 1)))
 
 
 @given(family_params)
