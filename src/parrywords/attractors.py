@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .errors import CapError, DomainError, InconclusiveError, ScopeError
 from .lyndon import anti_lyndon_root, anti_lyndon_stream, is_max_conjugate
 from .numeration import digit_ceiling, is_greedy
-from .words import ParamWord, Word, block, block_length, prefix
+from .words import ParamWord, Word, block, block_length, prefix, prefix_bytes
 
 
 @dataclass(frozen=True)
@@ -322,7 +322,7 @@ def power_prefix_len_direct(c: ParamWord, n: int, cap: int | None = None) -> int
         raise DomainError(f"cap must be >= 1, got {cap}")
     tile = bytes(block(c, n))
     periodic = (tile * (cap // len(tile) + 1))[:cap]
-    fixed = bytes(prefix(c, cap))
+    fixed = prefix_bytes(c, cap)
     lo, hi = 0, cap
     while lo < hi:  # largest x with fixed[:x] == periodic[:x]
         mid = (lo + hi + 1) // 2

@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
@@ -53,8 +54,11 @@ def _cmd_words(args: argparse.Namespace) -> int:
         else:
             print(format_symbols(w))
         return 0
-    rows = [(n, words.block_length(c, n), format_symbols(words.block(c, n)))
-            for n in range(args.upto + 1)]
+    # every block is a prefix of the last, so an oversized table is refused
+    # before any row is built
+    top = words.block(c, args.upto)
+    rows = [(n, length, format_symbols(top[:length]))
+            for n, length in enumerate(words.lengths(c, args.upto))]
     if args.json:
         _emit_json({"params": str(c), "rows": [
             {"n": n, "length": length, "word": word} for n, length, word in rows
@@ -202,20 +206,47 @@ _SWEEP_COLUMNS = ("c", "k", "frac_power_ok", "ceiling_ok", "max_conjugate",
                   "greedy", "minimal_family", "conjecture")
 
 
-def _parse_k_range(text: str) -> tuple[int, ...]:
+def _k_range(text: str) -> tuple[int, ...]:
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return tuple(range(int(lo), int(hi) + 1))
-        return (int(text),)
+            ks = tuple(range(int(lo), int(hi) + 1))
+        else:
+            ks = (int(text),)
     except ValueError:
-        raise Error(f"cannot parse alphabet-size range from {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"cannot parse alphabet-size range from {text!r}") from None
+    if not ks:
+        raise argparse.ArgumentTypeError(f"empty alphabet-size range {text!r}")
+    return ks
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # argparse's own wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _non_negative(text: str) -> int:
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    value = _int(text)
+    cpus = os.cpu_count() or 1
+    if not 1 <= value <= cpus:
+        raise argparse.ArgumentTypeError(
+            f"must be between 1 and the {cpus} CPUs, got {value}")
+    return value
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    ks = _parse_k_range(args.k)
     tasks = [(c.digits, args.m_max, args.cap)
-             for c in words.iter_params(ks, args.digit_max)]
+             for c in words.iter_params(args.k, args.digit_max)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_row, tasks))
@@ -260,7 +291,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("words", help="building blocks, lengths, or a prefix")
     p.add_argument("params", help='parameter word, e.g. "102" or "12.0.3"')
-    p.add_argument("--upto", type=int, default=5, metavar="N",
+    p.add_argument("--upto", type=_non_negative, default=5, metavar="N",
                    help="print blocks 0..N (default 5)")
     p.add_argument("--prefix", type=int, metavar="M",
                    help="print the length-M prefix of the fixed point instead")
@@ -314,16 +345,16 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("sweep", help="batch report over a parameter family")
-    p.add_argument("--k", required=True, metavar="RANGE",
+    p.add_argument("--k", type=_k_range, required=True, metavar="RANGE",
                    help='alphabet sizes, e.g. "3" or "2..4"')
-    p.add_argument("--digit-max", type=int, required=True)
+    p.add_argument("--digit-max", type=_non_negative, required=True)
     p.add_argument("--mmax", dest="m_max", type=int, default=0,
                    help="check the expected-size formula up to this prefix "
                         "length (0 skips it)")
     p.add_argument("--cap", type=int, default=200)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="parallel worker processes (default 1)")
     p.set_defaults(func=_cmd_sweep)
 

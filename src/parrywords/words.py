@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
-from .errors import DomainError, ParameterError
+from .errors import CapError, DomainError, ParameterError
 
 Word = tuple[int, ...]
 
 MAX_ALPHABET = 64
+# Longest fixed-point prefix or block that prefix() and block() build.
+MAX_LETTERS = 10 ** 7
 
 
 def format_symbols(symbols: Iterable[int]) -> str:
@@ -126,13 +128,11 @@ def apply_morphism(c: ParamWord, w: Iterable[int]) -> Word:
 
 
 def block(c: ParamWord, n: int) -> Word:
-    """n-th iterated image of the letter 0 (the n-th building block)."""
+    """n-th iterated image of the letter 0 (the n-th building block), which
+    is the prefix of length U_n of the fixed point."""
     if n < 0:
         raise DomainError(f"block index must be >= 0, got {n}")
-    w: Word = (0,)
-    for _ in range(n):
-        w = apply_morphism(c, w)
-    return w
+    return prefix(c, block_length(c, n))
 
 
 _length_cache: dict[ParamWord, list[int]] = {}
@@ -159,22 +159,69 @@ def lengths(c: ParamWord, upto: int) -> list[int]:
     return [block_length(c, n) for n in range(upto + 1)]
 
 
-_prefix_cache: dict[ParamWord, list[int]] = {}
+class _Growth:
+    """A fixed-point prefix, one byte per letter, and where its growth by the
+    block recurrence stopped: `copies` copies of factor j of block n.  Block
+    n starts with block n - 1, the whole buffer, so a block starts at one
+    copy of factor 0."""
+
+    __slots__ = ("letters", "n", "j", "copies")
+
+    def __init__(self) -> None:
+        self.letters = bytearray(1)  # block 0
+        self.n, self.j, self.copies = 1, 0, 1
 
 
-def prefix(c: ParamWord, m: int) -> Word:
-    """Prefix of length m of the infinite fixed point.
+_prefix_cache: dict[ParamWord, _Growth] = {}
 
-    The image of a fixed-point prefix is again a fixed-point prefix, so one
-    buffer per parameter word is grown by repeated morphism application and
-    sliced; repeated calls reuse it.
+
+def _grow(c: ParamWord, m: int) -> bytearray:
+    """The cached fixed-point buffer of c, grown to at least m letters.
+
+    Block n is u_{n-1}^(c_0) u_{n-2}^(c_1) ... u_{n-k}^(c_{k-1}), followed by
+    the letter n while n < k (factors with a negative index are left out).
+    Every factor is a prefix of the buffer already held, so each step
+    appends a slice repeated by bytes multiplication.  Only the copies this
+    request needs are appended, fewer than 2m letters in all however large
+    a digit is, and the growth resumes there on the next request.
     """
     if m < 0:
         raise DomainError(f"prefix length must be >= 0, got {m}")
-    buf = _prefix_cache.setdefault(c, [0])
+    if m > MAX_LETTERS:
+        raise CapError(
+            f"{m} letters exceed the cap of {MAX_LETTERS} on fixed-point prefixes"
+        )
+    g = _prefix_cache.get(c)
+    if g is None:
+        g = _prefix_cache[c] = _Growth()
+    buf = g.letters
+    k, cd = c.k, c.digits
+    n, j, copies = g.n, g.j, g.copies
     while len(buf) < m:
-        buf[:] = apply_morphism(c, buf)
-    return tuple(buf[:m])
+        if j < min(n, k):
+            size = block_length(c, n - 1 - j)
+            more = min(cd[j] - copies, -(-(m - len(buf)) // size))
+            buf += buf[:size] * more
+            copies += more
+            if copies == cd[j]:
+                j, copies = j + 1, 0
+        else:
+            if n < k:
+                buf.append(n)
+            n, j, copies = n + 1, 0, 1
+    g.n, g.j, g.copies = n, j, copies
+    return buf
+
+
+def prefix(c: ParamWord, m: int) -> Word:
+    """Prefix of length m of the infinite fixed point (at most MAX_LETTERS
+    letters; longer requests raise CapError)."""
+    return tuple(_grow(c, m)[:m])
+
+
+def prefix_bytes(c: ParamWord, m: int) -> bytes:
+    """The letters of prefix(c, m) as bytes, one byte per letter."""
+    return bytes(_grow(c, m)[:m])
 
 
 def iter_params(ks: Iterable[int], digit_max: int) -> Iterator[ParamWord]:

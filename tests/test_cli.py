@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
+from parrywords import cli
 from parrywords.cli import main
 
 from limits import time_limit
@@ -207,3 +209,46 @@ def test_domain_errors_exit_2(capsys):
     assert "error:" in err
     code, _, err = run(capsys, "rep", "102", "--", "-5")
     assert code == 2
+
+
+def _usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    return exc.value.code, err.splitlines()[-1]
+
+
+def test_out_of_range_arguments_exit_1(capsys):
+    code, line = _usage_error(capsys, "words", "12", "--upto", "-1")
+    assert (code, line) == (1, "parrywords words: error: argument --upto: "
+                               "must be >= 0, got -1")
+    code, line = _usage_error(capsys, "sweep", "--k", "5..2", "--digit-max", "1")
+    assert code == 1 and "empty alphabet-size range" in line
+    code, line = _usage_error(capsys, "sweep", "--k", "2..x", "--digit-max", "1")
+    assert code == 1 and "cannot parse alphabet-size range" in line
+    code, line = _usage_error(capsys, "sweep", "--k", "2", "--digit-max", "-1")
+    assert code == 1 and "argument --digit-max: must be >= 0" in line
+    code, line = _usage_error(capsys, "words", "12", "--upto", "x")
+    assert (code, line) == (1, "parrywords words: error: argument --upto: "
+                               "invalid int value: 'x'")
+
+
+def test_jobs_outside_cpu_count_exit_1(capsys, monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            pytest.fail("a worker pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    for jobs in (0, -3, (os.cpu_count() or 1) + 1):
+        code, line = _usage_error(capsys, "sweep", "--k", "2", "--digit-max",
+                                  "1", "--jobs", str(jobs))
+        assert code == 1 and "argument --jobs: must be between 1 and" in line
+
+
+def test_oversized_words_exit_2(capsys):
+    for argv in (["words", "12", "--prefix", "100000000000"],
+                 ["words", "11", "--upto", "40"]):
+        with time_limit(5):
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -188,9 +188,13 @@ def test_non_greedy_witness_c102():
     assert format_symbols(greedy_rep(C102, 8)) == "1100"
 
 
+# One example can take ~100 ms on cold caches, and more under load, so the
+# per-example deadline is replaced by a wall-clock limit against real hangs.
+@settings(deadline=None)
 @given(family_params)
 def test_greedy_iff_reps_agree(c):
-    agree = all(rep(c, n) == greedy_rep(c, n) for n in range(2000))
+    with time_limit(10):
+        agree = all(rep(c, n) == greedy_rep(c, n) for n in range(2000))
     assert is_greedy(c) == agree
 
 

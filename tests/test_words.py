@@ -1,10 +1,13 @@
 """Tests for parameter words, morphisms, blocks, and fixed-point prefixes."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parrywords import (
     MAX_ALPHABET,
+    CapError,
     DomainError,
     ParameterError,
     ParamWord,
@@ -16,8 +19,11 @@ from parrywords import (
     lengths,
     param_word,
     parse_symbols,
+    power_prefix_len_direct,
     prefix,
 )
+from parrywords import words
+from parrywords.words import MAX_LETTERS
 
 import oracles
 
@@ -29,6 +35,11 @@ C11 = param_word((1, 1))
 C1011 = param_word((1, 0, 1, 1))
 
 small_params = st.sampled_from(list(iter_params((2, 3, 4), 2)))
+# larger digits, so that growth stops and resumes inside a run of copies
+wide_params = st.lists(st.integers(min_value=0, max_value=25), min_size=1,
+                       max_size=4).filter(
+    lambda d: d[0] >= 1 and d[-1] >= 1 and (len(d) > 1 or d[0] >= 2)
+).map(ParamWord)
 
 
 def test_param_word_accepts_valid_digits():
@@ -188,3 +199,86 @@ def test_iter_params_enumeration():
     assert all(c.digits[0] >= 1 and c.digits[-1] >= 1 for c in fam3)
     with pytest.raises(ParameterError):
         list(iter_params((1,), 2))
+
+
+# ---------------------------------------------------------------------------
+# the byte buffer behind prefix and block
+# ---------------------------------------------------------------------------
+
+def _cold(c):
+    """Forget c's cached fixed-point buffer, so the next call grows it anew."""
+    words._prefix_cache.pop(c, None)
+
+
+buffer_calls = st.lists(st.one_of(
+    st.tuples(st.just("prefix"), st.integers(min_value=0, max_value=400)),
+    st.tuples(st.just("block"), st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("direct"), st.integers(min_value=0, max_value=3)),
+), min_size=1, max_size=8)
+
+
+@settings(max_examples=150)
+@given(st.one_of(small_params, wide_params), buffer_calls)
+def test_buffer_results_do_not_depend_on_growth_order(c, calls):
+    # growing, shrinking and repeated requests in any order see the same
+    # letters as a fresh brute-force construction
+    _cold(c)
+    for kind, arg in calls:
+        if kind == "prefix":
+            assert prefix(c, arg) == oracles.ref_prefix(c.digits, arg)
+        elif block_length(c, arg) <= 2000:
+            if kind == "block":
+                assert block(c, arg) == oracles.ref_block(c.digits, arg)
+            elif c.k > 1 and max(c.digits) <= 2:  # the oracle is quadratic
+                assert power_prefix_len_direct(c, arg) == \
+                    oracles.ref_power_prefix_len(c.digits, arg)
+
+
+@pytest.mark.parametrize("digits", [(2,), (3,)])
+def test_single_digit_base(digits):
+    # Parry reductions can land on a plain base-b system: k = 1
+    c = ParamWord(digits)
+    _cold(c)
+    for m in (0, 1, 2, 7, 30, 81, 5):
+        assert prefix(c, m) == oracles.ref_prefix(digits, m)
+    for n in range(5):
+        assert block(c, n) == oracles.ref_block(digits, n)
+        assert block_length(c, n) == digits[0] ** n
+
+
+def test_largest_alphabet_round_trips_through_bytes():
+    # 0 -> 01, i -> i+1, 63 -> 0: the fixed point starts 0 1 2 ... 63
+    c = ParamWord((1,) + (0,) * (MAX_ALPHABET - 2) + (1,))
+    assert c.k == MAX_ALPHABET
+    _cold(c)
+    assert prefix(c, MAX_ALPHABET) == tuple(range(MAX_ALPHABET))
+    assert block(c, MAX_ALPHABET - 1)[-1] == MAX_ALPHABET - 1
+    assert prefix(c, 300) == oracles.ref_prefix(c.digits, 300)
+    assert block(c, 70) == oracles.ref_block(c.digits, 70)
+    assert max(prefix(c, 300)) == MAX_ALPHABET - 1
+
+
+def test_huge_digit_allocates_only_what_is_asked():
+    c = ParamWord((10 ** 7, 1))
+    _cold(c)
+    tracemalloc.start()
+    try:
+        assert prefix(c, 5) == (0,) * 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+    # growth resumes inside the run of 10^7 zeros
+    assert prefix(c, 12) == (0,) * 12
+    assert len(words._prefix_cache[c].letters) < 2 * 12
+
+
+def test_letter_cap():
+    c = ParamWord((10 ** 9, 1))
+    with pytest.raises(CapError):
+        prefix(c, MAX_LETTERS + 1)
+    with pytest.raises(CapError):
+        block(c, 1)  # 10^9 + 1 letters
+    with pytest.raises(CapError):
+        power_prefix_len_direct(c, 1)
+    assert block(c, 0) == (0,)
